@@ -62,6 +62,7 @@ layout, because translating between them is the transformation layer's job:
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.documents.model import Document
@@ -112,9 +113,12 @@ def _segment(tag: str, *elements: Any) -> str:
 
 def _number(text: str, context: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
+    if not math.isfinite(value):
+        raise WireFormatError(f"non-finite value {text!r} in {context}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ E1EDS01    summary: total amount
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.documents.model import Document
@@ -144,9 +145,12 @@ def _parse_segment(line: str) -> tuple[str, dict[str, Any]]:
 
 def _number(text: str, context: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
+    if not math.isfinite(value):
+        raise WireFormatError(f"non-finite value {text!r} in {context}")
+    return value
 
 
 def to_wire(document: Document) -> str:

@@ -39,6 +39,7 @@ Implements Business Object Documents (BODs) shaped after OAGIS:
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.documents.model import Document
@@ -406,9 +407,12 @@ def _parse_application_area(root: XmlElement) -> dict[str, Any]:
 def _float(element: XmlElement, tag: str) -> float:
     text = element.require(tag).text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise WireFormatError(f"non-numeric <{tag}>: {text!r}") from None
+    if not math.isfinite(value):
+        raise WireFormatError(f"non-finite <{tag}>: {text!r}")
+    return value
 
 
 def _parse_process(root: XmlElement) -> Document:

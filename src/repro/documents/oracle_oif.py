@@ -35,6 +35,7 @@ PO_ACK_LINES            acknowledgment lines: line status, quantity
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.documents.model import Document
@@ -175,9 +176,12 @@ def _split_record(line: str) -> list[str]:
 
 def _number(text: str, context: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise WireFormatError(f"non-numeric value {text!r} in {context}") from None
+    if not math.isfinite(value):
+        raise WireFormatError(f"non-finite value {text!r} in {context}")
+    return value
 
 
 def to_wire(document: Document) -> str:

@@ -32,6 +32,7 @@ layout:
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.documents.model import Document
@@ -223,9 +224,12 @@ def _parse_service_header(root: XmlElement) -> dict[str, Any]:
 def _float(element: XmlElement, tag: str) -> float:
     text = element.require(tag).text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise WireFormatError(f"non-numeric <{tag}>: {text!r}") from None
+    if not math.isfinite(value):
+        raise WireFormatError(f"non-finite <{tag}>: {text!r}")
+    return value
 
 
 def _int(element: XmlElement, tag: str) -> int:

@@ -4,21 +4,34 @@ Every state advance follows the paper's cycle — "the workflow engine
 retrieves the state of the workflow instance in question, advances the
 workflow instance and stores the advanced state ... back into the
 database".  To make that boundary real (and measurable, experiment F4),
-loads and stores pass through dict snapshots: an engine never holds live
-references into the database, and the ``loads``/``stores`` counters expose
-the persistence traffic.
+each stored type and instance is kept as one immutable pickle: a store
+copies the object graph into bytes and a load copies it back out, so an
+engine never holds live references into the database (in either
+direction), and the ``*_stores``/``*_loads`` counters expose the
+persistence traffic.  A type is validated once, when stored; loads only
+unpickle.
+
+The pickles never leave the process: :meth:`WorkflowDatabase.snapshot`
+writes JSON through ``to_dict`` and :meth:`WorkflowDatabase.restore`
+rebuilds objects from JSON through ``from_dict``, so only bytes this
+database produced are ever unpickled.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 from typing import Any, Callable
 
-from repro.errors import PersistenceError
+from repro.errors import DocumentError, PersistenceError, WorkflowError
 from repro.workflow.definitions import WorkflowType
 from repro.workflow.instance import WorkflowInstance
 
 __all__ = ["WorkflowDatabase", "ReplicatedDatabase"]
+
+
+def _freeze(obj: WorkflowType | WorkflowInstance) -> bytes:
+    return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
 class WorkflowDatabase:
@@ -26,8 +39,8 @@ class WorkflowDatabase:
 
     def __init__(self, name: str = "workflow-db"):
         self.name = name
-        self._types: dict[tuple[str, str], dict[str, Any]] = {}
-        self._instances: dict[str, dict[str, Any]] = {}
+        self._types: dict[tuple[str, str], bytes] = {}
+        self._instances: dict[str, bytes] = {}
         self.type_stores = 0
         self.type_loads = 0
         self.instance_stores = 0
@@ -37,7 +50,11 @@ class WorkflowDatabase:
 
     def store_type(self, workflow_type: WorkflowType) -> None:
         """Persist (or overwrite) a workflow type definition."""
-        self._types[(workflow_type.name, workflow_type.version)] = workflow_type.to_dict()
+        validated = WorkflowType.from_dict(workflow_type.to_dict())
+        self._put_type((validated.name, validated.version), _freeze(validated))
+
+    def _put_type(self, key: tuple[str, str], blob: bytes) -> None:
+        self._types[key] = blob
         self.type_stores += 1
 
     def has_type(self, name: str, version: str = "") -> bool:
@@ -50,17 +67,17 @@ class WorkflowDatabase:
         """Load a type; empty ``version`` resolves to the highest version."""
         self.type_loads += 1
         if version:
-            payload = self._types.get((name, version))
-            if payload is None:
+            blob = self._types.get((name, version))
+            if blob is None:
                 raise PersistenceError(
                     f"{self.name}: no workflow type {name!r} version {version!r}"
                 )
-            return WorkflowType.from_dict(payload)
+            return pickle.loads(blob)
         candidates = [key for key in self._types if key[0] == name]
         if not candidates:
             raise PersistenceError(f"{self.name}: no workflow type {name!r}")
         latest = max(candidates, key=lambda key: _version_sort_key(key[1]))
-        return WorkflowType.from_dict(self._types[latest])
+        return pickle.loads(self._types[latest])
 
     def delete_type(self, name: str, version: str) -> None:
         """Remove a stored type version."""
@@ -73,7 +90,7 @@ class WorkflowDatabase:
 
     def list_types(self) -> list[WorkflowType]:
         """All stored type definitions (used by the exposure metric)."""
-        return [WorkflowType.from_dict(payload) for payload in self._types.values()]
+        return [pickle.loads(blob) for blob in self._types.values()]
 
     def type_keys(self) -> list[tuple[str, str]]:
         """All stored (name, version) pairs."""
@@ -83,7 +100,10 @@ class WorkflowDatabase:
 
     def store_instance(self, instance: WorkflowInstance) -> None:
         """Persist the instance snapshot."""
-        self._instances[instance.instance_id] = instance.to_dict()
+        self._put_instance(instance.instance_id, _freeze(instance))
+
+    def _put_instance(self, instance_id: str, blob: bytes) -> None:
+        self._instances[instance_id] = blob
         self.instance_stores += 1
 
     def has_instance(self, instance_id: str) -> bool:
@@ -93,10 +113,10 @@ class WorkflowDatabase:
     def load_instance(self, instance_id: str) -> WorkflowInstance:
         """Load an instance snapshot."""
         self.instance_loads += 1
-        payload = self._instances.get(instance_id)
-        if payload is None:
+        blob = self._instances.get(instance_id)
+        if blob is None:
             raise PersistenceError(f"{self.name}: no workflow instance {instance_id!r}")
-        return WorkflowInstance.from_dict(payload)
+        return pickle.loads(blob)
 
     def delete_instance(self, instance_id: str) -> None:
         """Remove a stored instance."""
@@ -109,9 +129,7 @@ class WorkflowDatabase:
 
     def list_instances(self, status: str | None = None) -> list[WorkflowInstance]:
         """All instances, optionally filtered by lifecycle status."""
-        instances = [
-            WorkflowInstance.from_dict(payload) for payload in self._instances.values()
-        ]
+        instances = [pickle.loads(blob) for blob in self._instances.values()]
         if status is not None:
             instances = [instance for instance in instances if instance.status == status]
         return instances
@@ -128,10 +146,17 @@ class WorkflowDatabase:
             {
                 "name": self.name,
                 "types": [
-                    {"name": name, "version": version, "definition": payload}
-                    for (name, version), payload in sorted(self._types.items())
+                    {
+                        "name": name,
+                        "version": version,
+                        "definition": pickle.loads(blob).to_dict(),
+                    }
+                    for (name, version), blob in sorted(self._types.items())
                 ],
-                "instances": sorted(self._instances.values(), key=lambda p: p["instance_id"]),
+                "instances": [
+                    pickle.loads(self._instances[instance_id]).to_dict()
+                    for instance_id in sorted(self._instances)
+                ],
             }
         )
 
@@ -142,10 +167,12 @@ class WorkflowDatabase:
             payload = json.loads(snapshot)
             database = cls(payload["name"])
             for entry in payload["types"]:
-                database._types[(entry["name"], entry["version"])] = entry["definition"]
+                workflow_type = WorkflowType.from_dict(entry["definition"])
+                database._types[(entry["name"], entry["version"])] = _freeze(workflow_type)
             for entry in payload["instances"]:
-                database._instances[entry["instance_id"]] = entry
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                instance = WorkflowInstance.from_dict(entry)
+                database._instances[instance.instance_id] = _freeze(instance)
+        except (KeyError, TypeError, ValueError, DocumentError, WorkflowError) as exc:
             raise PersistenceError(f"corrupt database snapshot: {exc}") from exc
         return database
 
@@ -163,21 +190,23 @@ class ReplicatedDatabase(WorkflowDatabase):
     *workflow instance replication*: "any change in one workflow engine is
     automatically, consistently and immediately reflected in all the other
     workflow engine databases").
+
+    A store is pickled once; every replica keeps the same immutable bytes.
     """
 
     def __init__(self, name: str, replicas: list[WorkflowDatabase]):
         super().__init__(name)
         self.replicas = list(replicas)
 
-    def store_type(self, workflow_type: WorkflowType) -> None:
-        super().store_type(workflow_type)
+    def _put_type(self, key: tuple[str, str], blob: bytes) -> None:
+        super()._put_type(key, blob)
         for replica in self.replicas:
-            replica.store_type(workflow_type)
+            replica._put_type(key, blob)
 
-    def store_instance(self, instance: WorkflowInstance) -> None:
-        super().store_instance(instance)
+    def _put_instance(self, instance_id: str, blob: bytes) -> None:
+        super()._put_instance(instance_id, blob)
         for replica in self.replicas:
-            replica.store_instance(instance)
+            replica._put_instance(instance_id, blob)
 
     def delete_instance(self, instance_id: str) -> None:
         super().delete_instance(instance_id)

@@ -62,6 +62,29 @@ class TestWireRoundTrips:
             module.from_wire(text[: len(text) // 2])
 
 
+
+# The first purchase-order line's line-number field in each wire format, and
+# how to write another value into it.
+LINE_NUMBER_FIELDS = {
+    "edi": ("PO1*1*", "PO1*{}*"),
+    "rosettanet": ("<LineNumber>1</LineNumber>", "<LineNumber>{}</LineNumber>"),
+    "oagis": ("<LineNumber>1</LineNumber>", "<LineNumber>{}</LineNumber>"),
+    "idoc": ("E1EDP01   1     ", "E1EDP01   {:<6}"),
+    "oif": ("LINE_NUM=1|", "LINE_NUM={}|"),
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", ["NaN", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_non_finite_line_number_rejected(self, name, value, registry, sample_po):
+        module, format_name = FORMATS[name]
+        original, template = LINE_NUMBER_FIELDS[name]
+        text = module.to_wire(registry.transform(sample_po, format_name))
+        assert original in text
+        with pytest.raises(WireFormatError, match="non-finite"):
+            module.from_wire(text.replace(original, template.format(value), 1))
+
 class TestEdiSpecifics:
     def test_segments_and_envelope(self, registry, sample_po):
         text = edi.to_wire(registry.transform(sample_po, edi.EDI_X12))
