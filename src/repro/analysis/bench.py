@@ -78,12 +78,6 @@ SPEEDUP_FLOORS = {
     # Recovery must replay >=50k events/sec (mirrors RECOVERY_FLOOR in
     # repro.analysis.journal_bench).
     "recovery_events_per_sec": 50_000.0,
-    # Columnar transform_batch must be >=3x the per-document loop at
-    # 100-document batches, and the content-addressed cache must serve
-    # >=90% of a warm Zipf stream (mirror BATCH_SPEEDUP_FLOOR and
-    # CACHE_HIT_RATE_FLOOR in repro.analysis.transform_bench).
-    "transform_batch_speedup": 3.0,
-    "transform_cache_hit_rate": 0.9,
     # The B2B7xx schema dataflow pass must verify >=200 binding routes/sec
     # across the example fleet (~5x headroom under the measured ~1.1k/s)
     # and a warm registry re-sweep must serve >=90% of route verdicts from
@@ -433,8 +427,6 @@ def run_benchmarks(
     sharded_hub_messages: int = 250_000,
     journal: bool = False,
     journal_messages: int = 20_000,
-    transform_cache: bool = False,
-    transform_batch_size: int = 100,
     dataflow: bool = False,
 ) -> dict[str, Any]:
     """Run the selected benchmarks and return the result payload."""
@@ -512,19 +504,6 @@ def run_benchmarks(
         ]
         derived["recovery_time_per_1k_events_ms"] = journal_payload[
             "recovery_time_per_1k_events_ms"
-        ]
-    if transform_cache:
-        from repro.analysis.transform_bench import run_transform_benchmark
-
-        transform_payload = run_transform_benchmark(
-            batch_size=transform_batch_size
-        )
-        payload["transform"] = transform_payload
-        derived["transform_cache_hit_rate"] = transform_payload[
-            "transform_cache_hit_rate"
-        ]
-        derived["transform_batch_speedup"] = transform_payload[
-            "transform_batch_speedup"
         ]
     if dataflow:
         derived.update(_dataflow_metrics())
@@ -626,16 +605,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="hub messages per journal-overhead run (default: 20000)",
     )
     parser.add_argument(
-        "--transform-cache", action="store_true",
-        help="also run the transformation benchmarks (content-addressed "
-        "cache hit rate on a Zipf stream, columnar batch speedup, and the "
-        "batched transform-hub trace-parity check)",
-    )
-    parser.add_argument(
-        "--transform-batch-size", type=int, default=100, metavar="N",
-        help="documents per transform_batch call (default: 100)",
-    )
-    parser.add_argument(
         "--dataflow", action="store_true",
         help="also derive the B2B7xx schema dataflow metrics (binding "
         "routes verified per second across the example fleet and the warm "
@@ -650,10 +619,7 @@ def run(args: argparse.Namespace) -> int:
         names = [name for name in names if args.filter in name]
         # With --sharded-hub an empty micro-benchmark selection is fine:
         # e.g. ``--sharded-hub --filter sharded`` runs only the hub.
-        if not names and not (
-            args.sharded_hub or args.journal or args.transform_cache
-            or args.dataflow
-        ):
+        if not names and not (args.sharded_hub or args.journal or args.dataflow):
             print(f"no benchmark matches filter {args.filter!r}", file=sys.stderr)
             return 2
     payload = run_benchmarks(
@@ -664,8 +630,6 @@ def run(args: argparse.Namespace) -> int:
         sharded_hub_messages=args.sharded_hub_messages,
         journal=args.journal,
         journal_messages=args.journal_messages,
-        transform_cache=args.transform_cache,
-        transform_batch_size=args.transform_batch_size,
         dataflow=args.dataflow,
     )
 
@@ -692,23 +656,6 @@ def run(args: argparse.Namespace) -> int:
             "  deterministic trace invariant: "
             f"{hub['deterministic_trace_invariant']}"
         )
-    if "transform" in payload:
-        entry = payload["transform"]
-        cache = entry["cache"]
-        batch = entry["batch"]
-        hub = entry["hub"]
-        print("\ntransformation (cache + columnar batch):")
-        print(
-            f"  cache hit rate {cache['transform_cache_hit_rate']:>8.2%} on the "
-            f"Zipf stream ({cache['hits']} hits / {cache['misses']} misses, "
-            f"x{cache['cache_speedup']:.2f} wall time)"
-        )
-        print(
-            f"  batch speedup  x{batch['transform_batch_speedup']:>7.2f} inbound "
-            f"at {batch['batch_size']}-doc batches "
-            f"(outbound x{batch['outbound']['speedup']:.2f})"
-        )
-        print(f"  hub trace parity across shards: {hub['trace_parity']}")
     if "journal" in payload:
         entry = payload["journal"]
         write = entry["write"]

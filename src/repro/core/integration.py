@@ -34,6 +34,7 @@ from repro.errors import (
     ProtocolError,
     RetryExhaustedError,
     TransformError,
+    ValidationError,
     WireFormatError,
 )
 from repro.messaging.disciplines import (
@@ -710,7 +711,9 @@ class B2BEngine:
                 self._handle_reply(conversation, wire_document)
             else:
                 self._handle_request(message, partner.partner_id, wire_document)
-        except (AgreementError, ProtocolError, TransformError, IntegrationError) as exc:
+        except (
+            AgreementError, ProtocolError, TransformError, IntegrationError, ValidationError
+        ) as exc:
             self._record_fault(message.conversation_id, message.message_id, exc)
 
     def _handle_request(

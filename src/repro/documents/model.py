@@ -294,8 +294,7 @@ class Document:
         Two documents share a digest exactly when they compare equal:
         the payload is canonical JSON (sorted keys, tight separators),
         so dict insertion order never leaks into the hash.  Non-JSON
-        scalars fall back to their ``repr``.  This is the document half
-        of the transformation-cache key.
+        scalars fall back to their ``repr``.
         """
         payload = json.dumps(
             (self.format_name, self.doc_type, self.data),

@@ -387,33 +387,6 @@ class ShardedKernel:
         else:
             self._send_cross_shard(current, target, seq, task)
 
-    def submit_batchable(
-        self,
-        batcher: Any,
-        payload: Any,
-        label: str = "",
-        partner_key: str | None = None,
-    ) -> None:
-        """Queue a coalescible task on its owning shard (same routing as
-        :meth:`submit`).  During a drain, runs of tasks sharing ``batcher``
-        that are adjacent *in execution order* collapse into one
-        ``batcher.run_batch(payloads)`` call."""
-        seq = next(self._seq)
-        current = self._current_shard()
-        if partner_key is not None:
-            target = self.router.route(partner_key, self.shard_count)
-        elif current is not None:
-            target = current
-        else:
-            target = 0
-        task = Task(None, label, batcher, payload)
-        if current is None or current == target:
-            shard = self.shards[target]
-            shard.tasks.append((seq, task))
-            self._check_watermark(shard)
-        else:
-            self._send_cross_shard(current, target, seq, task)
-
     def _send_cross_shard(
         self, sender: int, target_index: int, seq: int, task: Task
     ) -> None:
@@ -553,33 +526,11 @@ class ShardedKernel:
                     )
                 self._batch_budget -= 1
                 shard, queue = head
-                seq, task = queue.popleft()
+                _, task = queue.popleft()
                 shard.tasks_executed += 1
                 executed += 1
                 self._tls.shard = shard.index
-                batcher = task.batcher
-                if batcher is None:
-                    task.action()
-                else:
-                    # Coalesce the run of same-batcher tasks with strictly
-                    # consecutive sequence numbers at this queue's head.
-                    # Consecutive seqs guarantee global adjacency: every
-                    # other pending task has a larger seq, so executing the
-                    # run in one call preserves the global submission order.
-                    payloads = [task.payload]
-                    expected = seq + 1
-                    while (
-                        queue
-                        and queue[0][0] == expected
-                        and queue[0][1].batcher is batcher
-                        and self._batch_budget > 0
-                    ):
-                        self._batch_budget -= 1
-                        shard.tasks_executed += 1
-                        executed += 1
-                        payloads.append(queue.popleft()[1].payload)
-                        expected += 1
-                    batcher.run_batch(payloads)
+                task.action()
                 if shard.saturated:
                     self._check_watermark(shard)
         except BaseException as error:
@@ -654,48 +605,19 @@ class ShardedKernel:
         """
         executed = 0
         tasks, inbox = shard.tasks, shard.inbox
-
-        def pop_merged() -> Task | None:
-            if tasks:
-                if inbox and inbox[0][0] < tasks[0][0]:
-                    return inbox.popleft()[1]
-                return tasks.popleft()[1]
-            if inbox:
-                return inbox.popleft()[1]
-            return None
-
-        def peek_merged() -> Task | None:
-            if tasks:
-                if inbox and inbox[0][0] < tasks[0][0]:
-                    return inbox[0][1]
-                return tasks[0][1]
-            if inbox:
-                return inbox[0][1]
-            return None
-
         while True:
-            task = pop_merged()
-            if task is None:
+            if tasks:
+                if inbox and inbox[0][0] < tasks[0][0]:
+                    _, task = inbox.popleft()
+                else:
+                    _, task = tasks.popleft()
+            elif inbox:
+                _, task = inbox.popleft()
+            else:
                 break
             shard.tasks_executed += 1
             executed += 1
-            batcher = task.batcher
-            if batcher is None:
-                task.action()
-            else:
-                # Adjacent-in-execution-order same-batcher tasks coalesce;
-                # this worker is the only popper, so merged heads seen here
-                # are exactly the tasks that would have run next anyway.
-                payloads = [task.payload]
-                while executed < self.max_tasks_per_batch:
-                    upcoming = peek_merged()
-                    if upcoming is None or upcoming.batcher is not batcher:
-                        break
-                    pop_merged()
-                    shard.tasks_executed += 1
-                    executed += 1
-                    payloads.append(upcoming.payload)
-                batcher.run_batch(payloads)
+            task.action()
             if shard.saturated:
                 self._check_watermark(shard)
             if executed > self.max_tasks_per_batch:

@@ -45,7 +45,6 @@ __all__ = [
     "Mapping",
     "CompiledMapping",
     "MISSING",
-    "rules_context_free",
 ]
 
 
@@ -184,33 +183,6 @@ class Each:
 Rule = Field | Const | Compute | Each
 
 
-# ---------------------------------------------------------------------------
-# Cacheability analysis (delegates to the shared effect analyzer)
-# ---------------------------------------------------------------------------
-
-
-def _function_reads_context(fn: Callable[..., Any]) -> bool:
-    """Conservative static check: can ``fn(document, context)`` depend on
-    ``context``?
-
-    Thin wrapper over :func:`repro.verify.effects.analyze_function`, the
-    shared bytecode effect analyzer both the transformation cache and the
-    schema dataflow pass consume.  Anything the analysis cannot see
-    through is treated as context-reading.
-    """
-    from repro.verify.effects import analyze_function
-
-    return analyze_function(fn).reads_context
-
-
-def rules_context_free(rules: Sequence[Rule]) -> bool:
-    """True when no rule in the tree (recursing through Each) can read the
-    transformation context — the static half of cacheability."""
-    from repro.verify.effects import rules_read_context
-
-    return not rules_read_context(rules)
-
-
 # Sentinel for "source path absent" in compiled Field rules; private to this
 # module so no document value can collide with it.
 _ABSENT = object()
@@ -321,28 +293,14 @@ class CompiledMapping:
     no rule re-parses a path string per document.
     """
 
-    __slots__ = ("mapping", "name", "cacheable", "_rules", "_batch")
+    __slots__ = ("mapping", "name", "_rules")
 
     def __init__(self, mapping: "Mapping"):
         self.mapping = mapping
         self.name = mapping.name
-        from repro.verify.effects import rules_cacheable
-
-        #: static cacheability: a post hook or a compute whose effects are
-        #: not provably pure (context reads, or bytecode the analyzer
-        #: cannot see) means identical documents may transform
-        #: differently, so the result cache must be bypassed.  The shared
-        #: effect analyzer sees through ``functools.partial`` and bound
-        #: methods, so partial applications of pure document readers stay
-        #: cacheable.  Computed once, at compile.
-        self.cacheable: bool = mapping.post is None and rules_cacheable(
-            mapping.rules
-        )
         self._rules: tuple[RuleRunner, ...] = tuple(
             _lower_rule(rule) for rule in mapping.rules
         )
-        # Lazily built batch program (False = vectorization unsupported).
-        self._batch: Any = None
 
     def apply(self, document: Document, context: Context | None = None) -> Document:
         """Transform ``document`` exactly as the interpreted path would."""
@@ -368,31 +326,6 @@ class CompiledMapping:
         if mapping.target_schema is not None:
             mapping.target_schema.validate(target)
         return target
-
-    def apply_batch(
-        self, documents: Sequence[Document], context: Context | None = None
-    ) -> list[Document]:
-        """Transform a vector of documents; equivalent to
-        ``[self.apply(d, context) for d in documents]`` byte-for-byte.
-
-        The first call lowers the mapping into a columnar batch program
-        (see :mod:`repro.transform.batch`): one schema-spec walk and one
-        rule-runner dispatch loop for the whole vector instead of per
-        document.  Mappings the vectorizer cannot prove equivalent run
-        the per-document loop instead.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        program = self._batch
-        if program is None:
-            from repro.transform.batch import build_batch_program
-
-            program = build_batch_program(self)
-            self._batch = program if program is not None else False
-        if program is None or program is False:
-            return [self.apply(document, context) for document in documents]
-        return program.apply(documents, context)
 
     def __repr__(self) -> str:
         return f"CompiledMapping({self.name!r}, {len(self._rules)} rules)"

@@ -8,45 +8,33 @@ in an enterprise and answers transformation requests:
   (``wire -> normalized -> back-end``), which is exactly the paper's
   argument for a normalized format: with *n* formats you maintain ``2n``
   expert mappings instead of ``n*(n-1)`` pairwise ones (Section 4.2).
-* ``transform_batch(documents, target_format)`` — the same routes applied
-  columnar: documents are grouped by (format, doc_type) and each group
-  runs through the vectorized batch path
-  (:meth:`~repro.transform.mapping.CompiledMapping.apply_batch`).
 
 Resolved routes compile into cached :class:`RouteExecutor` objects, which
-also consult the optional content-addressed result cache
-(:meth:`enable_cache`): cacheable chains (a static property, computed at
-compile time) are memoized on ``(content digest, chain fingerprints,
-registry version)``; context-sensitive chains bypass the cache.
-
-Application counters (`stats`) feed the transformation benchmarks; pass
-``collect_stats=False`` to skip the per-application Counter update on
-hot paths that do not need it.
+run the compiled per-document mapping chain.  Application counters
+(`stats`) feed the transformation benchmarks and experiment reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Mapping as TypingMapping, Sequence
+from typing import Any, Iterable, Mapping as TypingMapping
 
 from repro.documents.model import Document
 from repro.documents.normalized import NORMALIZED
 from repro.errors import ConfigurationError, NoRouteError
-from repro.transform.cache import TransformCache
 from repro.transform.mapping import Mapping
 
 __all__ = ["RouteExecutor", "TransformationRegistry"]
 
 
 class RouteExecutor:
-    """One resolved route, compiled and cache-aware.
+    """One resolved route, compiled.
 
     Built (and memoized) by :meth:`TransformationRegistry.executor`; holds
-    the compiled mapping chain, the chain's fingerprint tuple (the mapping
-    half of the cache key) and its static cacheability verdict.
+    the compiled mapping chain for the route.
     """
 
-    __slots__ = ("registry", "route_label", "compiled", "names", "chain_key", "cacheable")
+    __slots__ = ("registry", "route_label", "compiled")
 
     def __init__(
         self,
@@ -58,115 +46,21 @@ class RouteExecutor:
         self.registry = registry
         self.route_label = f"{source_format}->{target_format}/{doc_type}"
         self.compiled = tuple(mapping.compile() for mapping in chain)
-        self.names = tuple(compiled.name for compiled in self.compiled)
-        self.chain_key = tuple(mapping.fingerprint() for mapping in chain)
-        self.cacheable = all(compiled.cacheable for compiled in self.compiled)
-
-    def _cache_key(self, document: Document) -> tuple:
-        return (document.content_digest(), self.chain_key, self.registry.version)
 
     def apply(
         self, document: Document, context: TypingMapping[str, Any] | None = None
     ) -> Document:
-        """Run the chain on one document, consulting the result cache.
-
-        Cache hits still count as logical mapping applications in
-        ``registry.stats`` — enabling the cache must not change what the
-        engine counters report.
-        """
-        registry = self.registry
-        cache = registry.cache
-        use_cache = cache is not None and self.cacheable
-        if use_cache:
-            key = self._cache_key(document)
-            hit = cache.lookup(key, self.route_label)
-            if hit is not None:
-                if registry.collect_stats:
-                    stats = registry.stats
-                    for name in self.names:
-                        stats[name] += 1
-                return hit
-        elif cache is not None:
-            cache.note_bypass(self.route_label)
+        """Run the chain on one document, counting each mapping application
+        in ``registry.stats``."""
+        stats = self.registry.stats
         result = document
-        if registry.collect_stats:
-            stats = registry.stats
-            for compiled in self.compiled:
-                result = compiled.apply(result, context)
-                stats[compiled.name] += 1
-        else:
-            for compiled in self.compiled:
-                result = compiled.apply(result, context)
-        if use_cache:
-            cache.store(key, result, self.route_label)
+        for compiled in self.compiled:
+            result = compiled.apply(result, context)
+            stats[compiled.name] += 1
         return result
 
-    def apply_batch(
-        self,
-        documents: Sequence[Document],
-        context: TypingMapping[str, Any] | None = None,
-    ) -> list[Document]:
-        """Run the chain columnar over ``documents`` (all of this route's
-        source format and doc type), consulting the cache per document."""
-        registry = self.registry
-        cache = registry.cache
-        use_cache = cache is not None and self.cacheable
-        count = len(documents)
-        results: list[Document | None] = [None] * count
-        if use_cache:
-            keys = [self._cache_key(document) for document in documents]
-            miss_indexes = []
-            missed_keys = set()
-            deferred = []
-            route = self.route_label
-            for index in range(count):
-                key = keys[index]
-                if key in missed_keys:
-                    # A duplicate of an earlier in-batch miss: sequential
-                    # processing would find it cached by now, so serve it
-                    # after the store pass (counting a hit, like sequential).
-                    deferred.append(index)
-                    continue
-                hit = cache.lookup(key, route)
-                if hit is not None:
-                    results[index] = hit
-                else:
-                    missed_keys.add(key)
-                    miss_indexes.append(index)
-        else:
-            if cache is not None:
-                for _ in range(count):
-                    cache.note_bypass(self.route_label)
-            miss_indexes = list(range(count))
-        if miss_indexes:
-            vector = [documents[index] for index in miss_indexes]
-            for compiled in self.compiled:
-                vector = compiled.apply_batch(vector, context)
-            for index, produced in zip(miss_indexes, vector):
-                results[index] = produced
-                if use_cache:
-                    cache.store(keys[index], produced, self.route_label)
-        if use_cache:
-            for index in deferred:
-                hit = cache.lookup(keys[index], self.route_label)
-                if hit is None:
-                    # Evicted between store and here (capacity < batch
-                    # distinct count) — recompute and re-store, exactly
-                    # what the sequential path would do on its miss.
-                    hit = documents[index]
-                    for compiled in self.compiled:
-                        hit = compiled.apply(hit, context)
-                    cache.store(keys[index], hit, self.route_label)
-                results[index] = hit
-        if registry.collect_stats:
-            stats = registry.stats
-            for name in self.names:
-                stats[name] += count
-        return results  # type: ignore[return-value]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cached = "cacheable" if self.cacheable else "context-sensitive"
-        return f"RouteExecutor({self.route_label!r}, {len(self.compiled)} hop(s), {cached})"
+        return f"RouteExecutor({self.route_label!r}, {len(self.compiled)} hop(s))"
 
 
 class TransformationRegistry:
@@ -174,22 +68,15 @@ class TransformationRegistry:
 
     :param hub_format: the pivot layout for two-step routing; the paper's
         normalized format by default.
-    :param collect_stats: update the per-mapping application Counter on
-        every transformation (the default).  Disable on hot paths where
-        the Counter update itself is measurable.
     """
 
-    def __init__(self, hub_format: str = NORMALIZED, collect_stats: bool = True):
+    def __init__(self, hub_format: str = NORMALIZED):
         self.hub_format = hub_format
-        self.collect_stats = collect_stats
         self._mappings: dict[tuple[str, str, str], Mapping] = {}
         self.stats: Counter[str] = Counter()
-        #: bumped on every registration; binding plan caches and the result
-        #: cache key on it so a reconfigured registry invalidates every
-        #: cached execution plan and memoized result.
+        #: bumped on every registration; binding plan caches key on it so a
+        #: reconfigured registry invalidates every cached execution plan.
         self.version = 0
-        #: optional content-addressed result cache (:meth:`enable_cache`).
-        self.cache: TransformCache | None = None
         self._route_cache: dict[tuple[str, str, str], tuple[Mapping, ...]] = {}
         self._executors: dict[tuple[str, str, str], RouteExecutor] = {}
 
@@ -207,32 +94,12 @@ class TransformationRegistry:
         self.version += 1
         self._route_cache.clear()
         self._executors.clear()
-        if self.cache is not None:
-            # The version bump already makes old keys unreachable; dropping
-            # the entries too keeps them from squatting in the LRU.
-            self.cache.clear()
         return mapping
 
     def register_all(self, mappings: Iterable[Mapping]) -> None:
         """Register every mapping in ``mappings``."""
         for mapping in mappings:
             self.register(mapping)
-
-    # -- result cache --------------------------------------------------------
-
-    def enable_cache(self, capacity: int = 4096) -> TransformCache:
-        """Attach (or resize) the content-addressed result cache."""
-        self.cache = TransformCache(capacity)
-        return self.cache
-
-    def disable_cache(self) -> None:
-        """Detach the result cache (entries are dropped)."""
-        self.cache = None
-
-    def cache_stats(self) -> dict[str, Any]:
-        """The cache's aggregate + per-route counters (empty dict when no
-        cache is attached) — the registry stats surface for observability."""
-        return self.cache.snapshot() if self.cache is not None else {}
 
     # -- lookup ---------------------------------------------------------------
 
@@ -278,7 +145,7 @@ class TransformationRegistry:
     def executor(
         self, source_format: str, target_format: str, doc_type: str
     ) -> RouteExecutor | None:
-        """The compiled, cache-aware executor for a route; ``None`` for the
+        """The compiled executor for a route; ``None`` for the
         identity route (document already in the target format).
 
         Executors are memoized alongside the route cache and dropped on
@@ -325,55 +192,6 @@ class TransformationRegistry:
         if executor is None:
             return document
         return executor.apply(document, context)
-
-    def transform_batch(
-        self,
-        documents: Sequence[Document],
-        target_format: str,
-        context: TypingMapping[str, Any] | None = None,
-    ) -> list[Document]:
-        """Transform a vector of documents into ``target_format``.
-
-        Equivalent to ``[self.transform(d, target_format, context) for d
-        in documents]``: documents are grouped by (format, doc_type) —
-        preserving input order in the output — and each group runs through
-        the columnar batch path.  If any group fails, the whole batch is
-        re-run per document so the surfaced error (and which document it
-        belongs to) matches the sequential path exactly.
-        """
-        documents = list(documents)
-        if not documents:
-            return []
-        try:
-            return self._transform_batch_grouped(documents, target_format, context)
-        except Exception:
-            return [
-                self.transform(document, target_format, context)
-                for document in documents
-            ]
-
-    def _transform_batch_grouped(
-        self,
-        documents: list[Document],
-        target_format: str,
-        context: TypingMapping[str, Any] | None,
-    ) -> list[Document]:
-        groups: dict[tuple[str, str], list[int]] = {}
-        for index, document in enumerate(documents):
-            groups.setdefault((document.format_name, document.doc_type), []).append(index)
-        results: list[Document | None] = [None] * len(documents)
-        for (format_name, doc_type), indexes in groups.items():
-            executor = self.executor(format_name, target_format, doc_type)
-            if executor is None:
-                for index in indexes:
-                    results[index] = documents[index]
-                continue
-            produced = executor.apply_batch(
-                [documents[index] for index in indexes], context
-            )
-            for index, document in zip(indexes, produced):
-                results[index] = document
-        return results  # type: ignore[return-value]
 
     def precompile(self) -> int:
         """Compile every registered mapping eagerly; returns the count.

@@ -78,7 +78,6 @@ from repro.verify.effects import (
     FunctionEffects,
     analyze_function,
     compute_effects,
-    rules_cacheable,
 )
 from repro.verify.model_checks import verify_model
 from repro.verify.race_checks import concurrent_step_pairs, verify_workflow_races
@@ -134,5 +133,4 @@ __all__ = [
     "FunctionEffects",
     "analyze_function",
     "compute_effects",
-    "rules_cacheable",
 ]

@@ -1,30 +1,20 @@
 """Bytecode-level purity/effect analysis for computes and hooks.
 
-PR 8 taught the transformation cache to bypass context-sensitive routes
-by scanning each ``Compute`` function's bytecode for references to its
-``context`` parameter (``rules_context_free`` in ``repro.transform.
-mapping``).  That check answered exactly one question — "does this read
-context?" — and answered it conservatively: anything without an
-inspectable code object (``functools.partial``, bound methods, C
-builtins) was treated as context-reading and bypassed the cache.
-
-This module generalizes the scan into a small effect analyzer shared by
-the transformation cache and the schema dataflow pass
-(:mod:`repro.verify.dataflow`):
+The schema dataflow pass (:mod:`repro.verify.dataflow`) needs to know
+what a ``Compute`` function can depend on.  This module scans the
+function's bytecode for references to its ``context`` parameter and
+summarizes it as a small effect record:
 
 * classification — ``pure`` (reads only its document and immutable
   closure state), ``reads-context`` (touches the per-call context
   mapping), or ``unanalyzable`` (no bytecode to inspect);
 * ``reads_globals`` — module-level names the function loads (informational:
-  globals are assumed constant after catalog construction, matching the
-  PR 8 cacheability contract);
+  globals are assumed constant after catalog construction);
 * ``may_raise`` — whether the bytecode contains an explicit ``raise``.
 
-The analyzer also *widens* the old check: ``functools.partial`` wrappers
-and bound methods are unwrapped (with the context-parameter index
-shifted past the pre-bound arguments), so a partial application of a
-pure document reader is now recognized as pure — and its route stays
-cacheable — where the PR 8 scan forced a bypass.
+``functools.partial`` wrappers and bound methods are unwrapped (with the
+context-parameter index shifted past the pre-bound arguments), so a
+partial application of a pure document reader is recognized as pure.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ __all__ = [
     "FunctionEffects",
     "analyze_function",
     "compute_effects",
-    "rules_cacheable",
     "rules_read_context",
 ]
 
@@ -75,11 +64,6 @@ class FunctionEffects:
         # Unanalyzable functions *may* read context; both answers must be
         # treated conservatively by callers, so expose the safe one here.
         return self.classification != EFFECT_PURE
-
-    @property
-    def cacheable(self) -> bool:
-        """True when memoizing on document content alone is sound."""
-        return self.classification == EFFECT_PURE
 
 
 def _unwrap(fn, context_index: int):
@@ -174,12 +158,7 @@ def compute_effects(rules) -> list[tuple[str, object, FunctionEffects]]:
 
 
 def rules_read_context(rules) -> bool:
-    """True when any compute may read its context (the PR 8 question)."""
+    """True when any compute may read its context."""
     return any(
         effects.reads_context for _, _, effects in compute_effects(rules)
     )
-
-
-def rules_cacheable(rules) -> bool:
-    """True when every compute is provably pure (document-only)."""
-    return all(effects.cacheable for _, _, effects in compute_effects(rules))

@@ -76,8 +76,7 @@ ENGINE_VERSION = "2"
 stale caches from an older engine can never satisfy a newer lint.
 
 History: ``"1"`` through PR 9; ``"2"`` adds the B2B7xx schema dataflow
-pass and the shared effect analyzer (PR 10), which also changes
-``TransformCache`` cacheability decisions."""
+pass and the shared effect analyzer (PR 10)."""
 
 CACHE_SCHEMA = "repro-lint-cache/1"
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"

@@ -1,5 +1,7 @@
 """Tests for the integration model and B2B engine wiring."""
 
+import re
+
 import pytest
 
 from repro.analysis.scenarios import build_two_enterprise_pair
@@ -123,6 +125,22 @@ class TestB2BEngineGuards:
         )
         pair.seller.b2b.handle_message(message)
         assert len(pair.seller.b2b.faults) == 1
+
+    def test_wire_schema_violation_recorded_as_fault(self, pair):
+        # An empty <ToRole> parses, but the inbound mapping's source-schema
+        # check rejects it; that ValidationError must become a fault, not
+        # escape handle_message.
+        body = re.sub(r"<ToRole>.*?</ToRole>", "<ToRole></ToRole>", self._wire_po(pair))
+        message = Message(
+            message_id="M-role", sender="TP1", receiver="ACME",
+            protocol="rosettanet", doc_type="purchase_order",
+            body=body, conversation_id="C-role",
+        )
+        pair.seller.b2b.handle_message(message)
+        faults = pair.seller.b2b.faults
+        assert len(faults) == 1
+        assert faults[0]["message"] == "M-role"
+        assert "service_header.to_role" in faults[0]["error"]
 
     def test_acks_ignored_by_engine(self, pair):
         ack = Message(

@@ -108,3 +108,19 @@ def test_compile_cache_reuses_and_invalidates():
 
     document = Document("a", "t", {"x": 1, "x2": 2})
     assert second.apply(document).to_dict() == mapping.apply(document).to_dict()
+
+
+def test_compile_keying_is_identity_based():
+    # Regression: the old cache key was tuple(map(id, rules)); a replaced
+    # rule object could reuse the freed id and false-hit.  The snapshot now
+    # holds strong references and compares by identity.
+    from repro.documents.model import Document
+
+    mapping = Mapping("m", "a", "b", "t", [Field("x", "y")])
+    first = mapping.compile()
+    assert mapping.compile() is first
+    mapping.rules[0] = Field("x", "z")  # in-place replacement, same length
+    second = mapping.compile()
+    assert second is not first
+    document = Document("a", "t", {"x": 7})
+    assert second.apply(document).get("z") == 7

@@ -9,7 +9,6 @@ from repro.verify.effects import (
     EFFECT_UNANALYZABLE,
     analyze_function,
     compute_effects,
-    rules_cacheable,
     rules_read_context,
 )
 
@@ -58,14 +57,14 @@ class TestAnalyzeFunction:
     def test_pure_document_reader(self):
         effects = analyze_function(pure_reader)
         assert effects.classification == EFFECT_PURE
-        assert effects.cacheable and effects.analyzable
+        assert effects.analyzable
         assert not effects.reads_context
         assert not effects.may_raise
 
     def test_context_reader(self):
         effects = analyze_function(context_reader)
         assert effects.classification == EFFECT_READS_CONTEXT
-        assert effects.reads_context and not effects.cacheable
+        assert effects.reads_context
         assert effects.analyzable
 
     def test_explicit_raise_is_flagged(self):
@@ -81,8 +80,8 @@ class TestAnalyzeFunction:
         effects = analyze_function(len)
         assert effects.classification == EFFECT_UNANALYZABLE
         assert effects.reason == "no inspectable bytecode"
-        # conservative: may read context, not cacheable
-        assert effects.reads_context and not effects.cacheable
+        # conservative: may read context
+        assert effects.reads_context and not effects.analyzable
 
     def test_variadic_is_unanalyzable(self):
         effects = analyze_function(lambda *args: None)
@@ -96,7 +95,8 @@ class TestAnalyzeFunction:
 
 
 class TestWidening:
-    """The cases PR 8's ``__code__`` probe forced into a cache bypass."""
+    """Wrappers without their own ``__code__`` are unwrapped, not
+    treated as unanalyzable."""
 
     def test_partial_of_pure_reader_is_pure(self):
         fn = functools.partial(generic_reader, "summary.total")
@@ -140,13 +140,22 @@ class TestRuleWalks:
         targets = [target for target, _rule, _effects in found]
         assert targets == ["total", "items[].price"]
 
-    def test_rules_read_context_and_cacheable(self):
+    def test_rules_read_context_and_classification(self):
         pure = [Compute("total", pure_reader)]
         impure = [Compute("total", pure_reader), Compute("now", context_reader)]
-        assert not rules_read_context(pure) and rules_cacheable(pure)
-        assert rules_read_context(impure) and not rules_cacheable(impure)
+        assert not rules_read_context(pure)
+        assert [e.classification for _, _, e in compute_effects(pure)] == [
+            EFFECT_PURE
+        ]
+        assert rules_read_context(impure)
+        assert [e.classification for _, _, e in compute_effects(impure)] == [
+            EFFECT_PURE,
+            EFFECT_READS_CONTEXT,
+        ]
 
     def test_unanalyzable_counts_as_context_reading(self):
         rules = [Compute("out", len)]
         assert rules_read_context(rules)
-        assert not rules_cacheable(rules)
+        assert [e.classification for _, _, e in compute_effects(rules)] == [
+            EFFECT_UNANALYZABLE
+        ]
