@@ -18,6 +18,7 @@ in ``tests/documents/test_xmlio.py``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -106,10 +107,10 @@ class XmlElement:
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;"}
 
-_NAME_START = set(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_:"
-)
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+# An XML name as both the serializer and the parser accept it: ASCII only.
+_NAME_CHAR = "[A-Za-z0-9_:.-]"
+_NAME = f"[A-Za-z_:]{_NAME_CHAR}*"
+_NAME_RE = re.compile(_NAME)
 
 
 def _escape(value: str, table: dict[str, str]) -> str:
@@ -119,9 +120,7 @@ def _escape(value: str, table: dict[str, str]) -> str:
 
 
 def _check_name(name: str) -> str:
-    if not name or name[0] not in _NAME_START or any(
-        character not in _NAME_CHARS for character in name
-    ):
+    if _NAME_RE.fullmatch(name) is None:
         raise XmlSyntaxError(f"invalid XML name {name!r}")
     return name
 
@@ -178,170 +177,132 @@ def _serialize_element(
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
+# One iterative pass: ``str.find`` locates each run of character data, and
+# these patterns, anchored at the current offset, match whole tags.
+# Whitespace is exactly `` \t\r\n``.  The lookahead stops a tag name from
+# giving characters back to an attribute name (``<ax="1">`` is not ``<a>``).
+_WS = "[ \t\r\n]*"
+_VALUE = "\"[^\"<]*\"|'[^'<]*'"
+_MISC = re.compile(f"{_WS}(?:(?:<!--.*?-->|<\\?.*?\\?>){_WS})*", re.DOTALL)
+_START_TAG = re.compile(
+    f"<({_NAME})(?!{_NAME_CHAR})((?:{_WS}{_NAME}{_WS}={_WS}(?:{_VALUE}))*){_WS}(/?)>"
+)
+_ATTRIBUTE = re.compile(f"{_WS}({_NAME}){_WS}={_WS}({_VALUE})")
+_END_TAG = re.compile(f"</({_NAME}){_WS}>")
+_REFERENCE = re.compile("&([^&;]{0,10})(;?)")
 
-class _Parser:
-    """A single-pass recursive-descent parser over the input string."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
+def _unescape(run: str, offset: int) -> str:
+    """Decode the entity and character references in ``run`` (at ``offset``)."""
 
-    # -- low-level helpers ---------------------------------------------------
-
-    def error(self, message: str) -> XmlSyntaxError:
-        return XmlSyntaxError(message, position=self.pos)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < self.length else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments and the XML declaration."""
-        while True:
-            self.skip_whitespace()
-            if self.startswith("<!--"):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.startswith("<?"):
-                end = self.text.find("?>", self.pos + 2)
-                if end < 0:
-                    raise self.error("unterminated declaration")
-                self.pos = end + 2
-            else:
-                return
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.peek() not in _NAME_START:
-            raise self.error("expected XML name")
-        self.pos += 1
-        while self.peek() in _NAME_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def read_entity(self) -> str:
-        self.expect("&")
-        end = self.text.find(";", self.pos)
-        if end < 0 or end - self.pos > 10:
-            raise self.error("unterminated entity reference")
-        body = self.text[self.pos:end]
-        self.pos = end + 1
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
+    def decode(match: re.Match) -> str:
+        body = match[1]
+        at = offset + match.start()
+        if not match[2]:
+            raise XmlSyntaxError("unterminated entity reference", at)
         if body in _ENTITIES:
             return _ENTITIES[body]
-        raise self.error(f"unknown entity &{body};")
+        if not body.startswith("#"):
+            raise XmlSyntaxError(f"unknown entity &{body};", at)
+        try:
+            if body[1:2] in ("x", "X"):
+                return chr(int(body[2:], 16))
+            return chr(int(body[1:]))
+        except (ValueError, OverflowError):
+            raise XmlSyntaxError(f"bad character reference &{body};", at) from None
 
-    # -- grammar -------------------------------------------------------------
+    return _REFERENCE.sub(decode, run)
 
-    def parse_document(self) -> XmlElement:
-        self.skip_misc()
-        if not self.startswith("<"):
-            raise self.error("expected root element")
-        root = self.parse_element()
-        self.skip_misc()
-        if self.pos != self.length:
-            raise self.error("content after document root")
-        return root
 
-    def parse_element(self) -> XmlElement:
-        self.expect("<")
-        tag = self.read_name()
-        attrs = self.parse_attributes()
-        if self.startswith("/>"):
-            self.pos += 2
-            return XmlElement(tag, attrs)
-        self.expect(">")
-        content = self.parse_content(tag)
-        return XmlElement(tag, attrs, content)
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments and XML declarations outside the root."""
+    pos = _MISC.match(text, pos).end()
+    if text.startswith("<!--", pos):
+        raise XmlSyntaxError("unterminated comment", pos)
+    if text.startswith("<?", pos):
+        raise XmlSyntaxError("unterminated declaration", pos)
+    return pos
 
-    def parse_attributes(self) -> dict[str, str]:
-        attrs: dict[str, str] = {}
-        while True:
-            self.skip_whitespace()
-            if self.peek() in (">", "/") or self.pos >= self.length:
-                return attrs
-            name = self.read_name()
-            self.skip_whitespace()
-            self.expect("=")
-            self.skip_whitespace()
-            quote = self.peek()
-            if quote not in ('"', "'"):
-                raise self.error("attribute value must be quoted")
-            self.pos += 1
-            value_pieces: list[str] = []
-            while self.peek() != quote:
-                if self.pos >= self.length:
-                    raise self.error("unterminated attribute value")
-                if self.peek() == "&":
-                    value_pieces.append(self.read_entity())
-                elif self.peek() == "<":
-                    raise self.error("'<' not allowed in attribute value")
-                else:
-                    value_pieces.append(self.peek())
-                    self.pos += 1
-            self.pos += 1
-            if name in attrs:
-                raise self.error(f"duplicate attribute {name!r}")
-            attrs[name] = "".join(value_pieces)
 
-    def parse_content(self, open_tag: str) -> list[XmlElement | str]:
-        content: list[XmlElement | str] = []
-        text_pieces: list[str] = []
+def _attributes(text: str, start: int, end: int) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    for match in _ATTRIBUTE.finditer(text, start, end):
+        name, value = match[1], match[2][1:-1]
+        if name in attrs:
+            raise XmlSyntaxError(f"duplicate attribute {name!r}", match.start(1))
+        attrs[name] = _unescape(value, match.start(2) + 1) if "&" in value else value
+    return attrs
 
-        def flush_text() -> None:
-            if text_pieces:
-                content.append("".join(text_pieces))
-                text_pieces.clear()
 
-        while True:
-            if self.pos >= self.length:
-                raise self.error(f"unterminated element <{open_tag}>")
-            if self.startswith("</"):
-                flush_text()
-                self.pos += 2
-                closing = self.read_name()
-                if closing != open_tag:
-                    raise self.error(
-                        f"mismatched closing tag </{closing}> for <{open_tag}>"
-                    )
-                self.skip_whitespace()
-                self.expect(">")
-                return content
-            if self.startswith("<!--"):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.peek() == "<":
-                flush_text()
-                content.append(self.parse_element())
-            elif self.peek() == "&":
-                text_pieces.append(self.read_entity())
-            else:
-                text_pieces.append(self.peek())
-                self.pos += 1
+def _tag_error(text: str, pos: int) -> XmlSyntaxError:
+    """Say where the start tag at ``pos`` stops matching the grammar."""
+    name = _NAME_RE.match(text, pos + 1)
+    if name is None:
+        return XmlSyntaxError("expected XML name", pos + 1)
+    end = name.end()
+    while attribute := _ATTRIBUTE.match(text, end):
+        end = attribute.end()
+    return XmlSyntaxError(f"malformed start tag <{name[0]}>", end)
 
 
 def parse(text: str) -> XmlElement:
-    """Parse an XML string and return its root :class:`XmlElement`."""
+    """Parse an XML string and return its root :class:`XmlElement`.
+
+    Open elements live on an explicit stack, so nesting depth is bounded
+    only by memory; every rejection is an :class:`XmlSyntaxError`.
+    """
     if not isinstance(text, str):
         raise XmlSyntaxError(f"expected str, got {type(text).__name__}")
-    return _Parser(text).parse_document()
+    pos = _skip_misc(text, 0)
+    if not text.startswith("<", pos) or text.startswith("</", pos):
+        raise XmlSyntaxError("expected root element", pos)
+    find, start_tag, end_tag = text.find, _START_TAG.match, _END_TAG.match
+    stack: list[XmlElement] = []  # open elements, innermost last
+    run = ""  # character data since the last tag; comments do not split it
+    while True:
+        kind = text[pos + 1 : pos + 2]  # text[pos] is "<"
+        if kind == "/":
+            match = end_tag(text, pos)
+            element = stack.pop()
+            if match is None or match[1] != element.tag:
+                raise XmlSyntaxError(f"bad closing tag for <{element.tag}>", pos)
+            if run:
+                element.content.append(run)
+                run = ""
+            pos = match.end()
+            if not stack:
+                break
+        elif kind == "!" and text.startswith("<!--", pos):
+            end = find("-->", pos + 4)
+            if end < 0:
+                raise XmlSyntaxError("unterminated comment", pos)
+            pos = end + 3
+        else:
+            match = start_tag(text, pos)
+            if match is None:
+                raise _tag_error(text, pos)
+            tag, attrs, empty = match.groups()
+            element = XmlElement(tag, _attributes(text, *match.span(2)) if attrs else {}, [])
+            if stack:
+                content = stack[-1].content
+                if run:
+                    content.append(run)
+                    run = ""
+                content.append(element)
+            else:
+                root = element
+            pos = match.end()
+            if not empty:
+                stack.append(element)
+            elif not stack:
+                break
+        lt = find("<", pos)
+        if lt < 0:
+            raise XmlSyntaxError(f"unterminated element <{stack[-1].tag}>", len(text))
+        if lt > pos:
+            chunk = text[pos:lt]
+            run += _unescape(chunk, pos) if "&" in chunk else chunk
+            pos = lt
+    if _skip_misc(text, pos) != len(text):
+        raise XmlSyntaxError("content after document root", pos)
+    return root

@@ -79,12 +79,21 @@ class TestB2BEngineGuards:
     def pair(self):
         return build_two_enterprise_pair("rosettanet", seller_delay=0.0)
 
-    def _wire_po(self, pair):
+    def _wire_po(self, pair, protocol="rosettanet"):
         from repro.documents.normalized import make_purchase_order
-        from repro.documents import rosettanet
 
         po = make_purchase_order("PO-X", "TP1", "ACME", LINES)
-        return rosettanet.to_wire(pair.buyer.model.transforms.transform(po, "rosettanet-xml"))
+        codec = pair.buyer.model.protocols.get(protocol).codec
+        return codec.to_wire(pair.buyer.model.transforms.transform(po, codec.format_name))
+
+    def _send_po(self, pair, body, protocol="rosettanet"):
+        message = Message(
+            message_id="M-edge", sender="TP1", receiver="ACME",
+            protocol=protocol, doc_type="purchase_order",
+            body=body, conversation_id="C-edge",
+        )
+        pair.seller.b2b.handle_message(message)
+        return pair.seller.b2b.faults
 
     def test_garbage_body_recorded_as_fault(self, pair):
         message = Message(
@@ -141,6 +150,40 @@ class TestB2BEngineGuards:
         assert len(faults) == 1
         assert faults[0]["message"] == "M-role"
         assert "service_header.to_role" in faults[0]["error"]
+
+    @pytest.mark.parametrize("reference", ["&#xZZ;", "&#99999999;"])
+    def test_bad_character_reference_recorded_as_fault(self, pair, reference):
+        wire = self._wire_po(pair)
+        body = wire.replace(
+            "<Description></Description>", f"<Description>{reference}</Description>"
+        )
+        assert body != wire
+        faults = self._send_po(pair, body)
+        assert len(faults) == 1
+        assert "character reference" in faults[0]["error"]
+        assert pair.seller.b2b.conversations == {}
+
+    def test_deeply_nested_element_recorded_as_fault(self, pair):
+        # 3000 levels parse without recursion; the <LineNumber> they fill
+        # then has no text of its own, which the codec rejects.
+        wire = self._wire_po(pair)
+        nest = "<n>" * 3000 + "1" + "</n>" * 3000
+        body = wire.replace("<LineNumber>1</LineNumber>", f"<LineNumber>{nest}</LineNumber>")
+        assert body != wire
+        faults = self._send_po(pair, body)
+        assert len(faults) == 1
+        assert "LineNumber" in faults[0]["error"]
+
+    def test_oagis_bad_character_reference_recorded_as_fault(self):
+        pair = build_two_enterprise_pair("oagis-http", seller_delay=0.0)
+        wire = self._wire_po(pair, "oagis-http")
+        body = wire.replace(
+            "<ItemDescription></ItemDescription>", "<ItemDescription>&#xZZ;</ItemDescription>"
+        )
+        assert body != wire
+        faults = self._send_po(pair, body, "oagis-http")
+        assert len(faults) == 1
+        assert "character reference" in faults[0]["error"]
 
     def test_acks_ignored_by_engine(self, pair):
         ack = Message(

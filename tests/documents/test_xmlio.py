@@ -1,7 +1,7 @@
 """Tests for the minimal XML reader/writer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.documents.xmlio import XmlElement, parse, serialize
 from repro.errors import XmlSyntaxError
@@ -120,11 +120,34 @@ class TestParse:
             "<a/><b/>",
             "<a><![CDATA[x]]></a>",
             '<a x="<"/>',
+            "<a>&#xZZ;</a>",
+            "<a>&#;</a>",
+            "<a>&#-1;</a>",
+            "<a>&#99999999;</a>",
+            "<a>&#xFFFFFFFF;</a>",
+            '<a x="&#xZZ;"/>',
+            pytest.param("<a>" * 3000, id="unterminated-3000-deep"),
+            '<ax="1"/>',
+            "<a\f/>",
+            "<\u00e9/>",
         ],
     )
     def test_malformed_rejected(self, bad):
-        with pytest.raises(XmlSyntaxError):
+        with pytest.raises(XmlSyntaxError) as excinfo:
             parse(bad)
+        assert excinfo.value.position >= 0
+
+    def test_deep_nesting_parses(self):
+        element = parse("<a>" * 3000 + "x" + "</a>" * 3000)
+        for _ in range(2999):
+            (element,) = element.content
+        assert element.content == ["x"]
+
+    def test_attributes_need_no_separating_whitespace(self):
+        assert parse('<a x="1"y=\'2\'/>').attrs == {"x": "1", "y": "2"}
+
+    def test_text_merges_across_comment(self):
+        assert parse("<a>x<!-- c -->y<b/>z</a>").content == ["xy", XmlElement("b"), "z"]
 
     def test_error_carries_position(self):
         with pytest.raises(XmlSyntaxError) as excinfo:
@@ -174,3 +197,34 @@ def test_parse_serialize_roundtrip(element):
 @given(_elements())
 def test_roundtrip_with_declaration(element):
     assert parse(serialize(element, declaration=True)) == element
+
+
+@given(_elements())
+def test_roundtrip_at_codec_indent(element):
+    # The XML codecs send indent=2; the whitespace between elements comes
+    # back as text chunks, so re-serializing reproduces the input.
+    pretty = serialize(element, declaration=False, indent=2)
+    assert serialize(parse(pretty), declaration=False) == pretty.rstrip("\n")
+
+
+_MARKUP = ["<", ">", "/", "=", '"', "'", "&", ";", "#", "!--"]
+
+
+@st.composite
+def _mutated_documents(draw):
+    text = serialize(draw(_elements()), indent=draw(st.sampled_from([0, 2])))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = "" if edit == "delete" else draw(st.sampled_from(_MARKUP))
+        text = text[:at] + token + text[at + (edit != "insert"):]
+    return text
+
+
+@settings(max_examples=150)
+@given(_mutated_documents())
+def test_parse_returns_tree_or_raises_syntax_error(text):
+    try:
+        parse(text)
+    except XmlSyntaxError as exc:
+        assert exc.position >= 0
